@@ -17,8 +17,9 @@
 //
 // wasobench is also the regression gate: -compare-base/-compare-new check
 // a freshly generated report against a committed baseline row by row and
-// fail on ns/op regressions beyond -compare-tolerance — the CI perf-smoke
-// guard for the region-mode serving path.
+// fail on ns/op regressions beyond -compare-tolerance, or on any change of
+// a row's willingness — the CI perf-smoke guard for the region-mode
+// serving path, and the check that speed changes leave answers alone.
 package main
 
 import (
@@ -93,7 +94,7 @@ type entry struct {
 	// wasod renders on /metrics, plus executor queue-wait percentiles in
 	// seconds. The warmup request runs before the scrape, so deltas cover
 	// exactly the timed replay. Absent outside -throughput mode; unknown
-	// to runCompare (the gate keys on ns_per_op only).
+	// to runCompare (the gate keys on ns_per_op and willingness).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -748,8 +749,10 @@ func percentile(sorted []float64, p float64) float64 {
 
 // runCompare gates a fresh report against a committed baseline: every new
 // row whose name matches the filter and exists in the baseline must not be
-// slower than tolerance × the baseline ns/op. Matching zero rows is an
-// error — a gate that silently checks nothing is worse than no gate.
+// slower than tolerance × the baseline ns/op, and must report the
+// baseline's willingness exactly (rows where either side has none are not
+// checked). Matching zero rows is an error — a gate that silently checks
+// nothing is worse than no gate.
 func runCompare(basePath, newPath, match string, tolerance float64, out io.Writer) error {
 	if tolerance <= 0 {
 		return fmt.Errorf("-compare-tolerance must be > 0, got %v", tolerance)
@@ -767,7 +770,7 @@ func runCompare(basePath, newPath, match string, tolerance float64, out io.Write
 		baseline[row.Name] = row
 	}
 	matched, unmatched := 0, 0
-	var regressions []string
+	var regressions, answers []string
 	for _, row := range fresh.Benchmarks {
 		if match != "" && !strings.Contains(row.Name, match) {
 			continue
@@ -787,6 +790,11 @@ func runCompare(basePath, newPath, match string, tolerance float64, out io.Write
 			verdict = "REGRESSED"
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %.0f -> %.0f ns/op (%.2fx > %.2fx)", row.Name, old.NsPerOp, row.NsPerOp, ratio, tolerance))
+		}
+		if old.Willing != 0 && row.Willing != 0 && row.Willing != old.Willing {
+			verdict += " ANSWER CHANGED"
+			answers = append(answers,
+				fmt.Sprintf("%s: willingness %v -> %v", row.Name, old.Willing, row.Willing))
 		}
 		fmt.Fprintf(out, "%-72s %14.0f %14.0f %7.3fx %s\n", row.Name, old.NsPerOp, row.NsPerOp, ratio, verdict)
 	}
@@ -813,6 +821,10 @@ func runCompare(basePath, newPath, match string, tolerance float64, out io.Write
 	if len(missing) > 0 {
 		return fmt.Errorf("compare: %d baseline rows matching %q are absent from %s (gate coverage shrank):\n  %s",
 			len(missing), match, newPath, strings.Join(missing, "\n  "))
+	}
+	if len(answers) > 0 {
+		return fmt.Errorf("compare: %d of %d rows changed willingness against %s:\n  %s",
+			len(answers), matched, basePath, strings.Join(answers, "\n  "))
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("compare: %d of %d rows regressed beyond %.2fx:\n  %s",

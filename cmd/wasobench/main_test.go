@@ -249,6 +249,33 @@ func TestCompare(t *testing.T) {
 	if err := run([]string{"-compare-base", base}, &bytes.Buffer{}); err == nil {
 		t.Error("-compare-base without -compare-new accepted")
 	}
+
+	// Answers are gated too: a matched row whose willingness moved fails
+	// even when it got faster, and the error names the row and both
+	// values. A side without willingness is not checked.
+	withW := write("with-w.json", []entry{
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 1000, Willing: 12.5},
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 2000, Willing: 30.25},
+	})
+	sameW := write("same-w.json", []entry{
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 900, Willing: 12.5},
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 1900},
+	})
+	if err := run([]string{"-compare-base", withW, "-compare-new", sameW}, &bytes.Buffer{}); err != nil {
+		t.Errorf("equal willingness (one side absent): %v", err)
+	}
+	movedW := write("moved-w.json", []entry{
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1", NsPerOp: 500, Willing: 12.5},
+		{Name: "BenchmarkLargeGraph/n=100000/cbas/workers=1/regions=off", NsPerOp: 1000, Willing: 30.249999},
+	})
+	buf.Reset()
+	err := run([]string{"-compare-base", withW, "-compare-new", movedW}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "cbas/workers=1/regions=off: willingness 30.25 -> 30.249999") {
+		t.Errorf("changed willingness: err = %v, want the row and both values named", err)
+	}
+	if !strings.Contains(buf.String(), "ANSWER CHANGED") {
+		t.Errorf("compare table does not flag the changed row:\n%s", buf.String())
+	}
 }
 
 func TestHarnessBadFlags(t *testing.T) {

@@ -218,3 +218,47 @@ func TestDurableRecoveryHTTP(t *testing.T) {
 		t.Errorf("post-recovery patch: %d %s", status, body)
 	}
 }
+
+// TestNegativeTauHTTP: a negative tightness is refused with 400 naming the
+// edge, on upload and on PATCH, and a refused PATCH appends nothing to the
+// WAL or the graph version.
+func TestNegativeTauHTTP(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Fsync: store.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{DefaultTimeout: 30 * time.Second, Store: st})
+	ts := httptest.NewServer(newMux(svc, 64<<20, 30*time.Second, false, nil))
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close()
+		st.Close()
+	})
+
+	status, body := doJSON(t, "POST", ts.URL+"/v1/graphs",
+		`{"id":"neg","graph":{"nodes":3,"edges":[{"src":0,"dst":1,"tau":1},{"src":1,"dst":2,"tau_out":0.5,"tau_in":-0.25}]}}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "AddArc(2,1) with negative tightness") {
+		t.Errorf("negative-tau upload: %d %s, want 400 naming AddArc(2,1)", status, body)
+	}
+
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/graphs", pathGraphBody); status != http.StatusCreated {
+		t.Fatalf("upload: %d %s", status, body)
+	}
+	walBefore := storeHealth(t, ts.URL).WALBytes
+	for _, tc := range []struct{ name, ops, edge string }{
+		{"add_edge", `{"ops":[{"op":"add_edge","u":0,"v":7,"tau_out":1,"tau_in":-1}]}`, "{0,7}"},
+		{"set_tau", `{"ops":[{"op":"set_interest","u":2,"eta":9},{"op":"set_tau","u":2,"v":1,"tau":-0.5}]}`, "{2,1}"},
+	} {
+		status, body := doJSON(t, "PATCH", ts.URL+"/v1/graphs/mut", tc.ops)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), "negative tightness on edge "+tc.edge) {
+			t.Errorf("%s: %d %s, want 400 naming edge %s", tc.name, status, body, tc.edge)
+		}
+	}
+	if got := storeHealth(t, ts.URL).WALBytes; got != walBefore {
+		t.Errorf("WAL grew from %d to %d bytes on refused PATCHes", walBefore, got)
+	}
+	status, body = doJSON(t, "GET", ts.URL+"/v1/graphs", "")
+	if status != http.StatusOK || !strings.Contains(string(body), `"version":0`) {
+		t.Errorf("graph list after refused PATCHes: %d %s, want version 0", status, body)
+	}
+}

@@ -60,9 +60,11 @@ func (b *Builder) AddEdgeSym(i, j NodeID, tau float64) {
 	b.AddEdge(i, j, tau, tau)
 }
 
-// AddArc records the single directed tightness contribution τ_{i,j}. The
-// reverse direction defaults to 0 unless also added. Both directions of an
-// edge exist in the built graph as soon as either arc is added.
+// AddArc records the single directed tightness contribution τ_{i,j}, which
+// must be finite and ≥ 0 (the §3.1 pruning bound is only admissible over
+// nonnegative edge gains). The reverse direction defaults to 0 unless also
+// added. Both directions of an edge exist in the built graph as soon as
+// either arc is added.
 func (b *Builder) AddArc(i, j NodeID, tau float64) {
 	if b.err != nil {
 		return
@@ -77,6 +79,10 @@ func (b *Builder) AddArc(i, j NodeID, tau float64) {
 	}
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
 		b.err = fmt.Errorf("graph: AddArc(%d,%d) with non-finite tightness", i, j)
+		return
+	}
+	if tau < 0 {
+		b.err = fmt.Errorf("graph: AddArc(%d,%d) with negative tightness %v", i, j, tau)
 		return
 	}
 	b.src = append(b.src, i)
@@ -163,7 +169,9 @@ func (b *Builder) Build() (*Graph, error) {
 		lo, hi := off[i], off[i+1]
 		sortAdj(nbr[lo:hi], wOut[lo:hi], wIn[lo:hi])
 	}
-	g.fuse()
+	if err := g.fuse(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

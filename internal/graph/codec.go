@@ -123,7 +123,9 @@ func Decode(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: decoded graph invalid: %w", err)
 	}
 	// The fused weight array is derived state, not part of the wire format.
-	g.fuse()
+	if err := g.fuse(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

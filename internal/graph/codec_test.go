@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -147,6 +148,29 @@ func TestCodecCorrupt(t *testing.T) {
 		wOutOff := nbrOff + 8*4
 		binary.LittleEndian.PutUint64(b[wOutOff:], math.Float64bits(42))
 	})
+}
+
+// TestDecodeRejectsNegativeTau: a binary upload whose weights are
+// well-formed and mirrored but negative fails Validate, so Decode refuses
+// it and names the edge.
+func TestDecodeRejectsNegativeTau(t *testing.T) {
+	g := codecGraph(t)
+	bad := &Graph{interest: g.interest, off: g.off, nbr: g.nbr,
+		wOut: slices.Clone(g.wOut), wIn: slices.Clone(g.wIn)}
+	// Edge {2,3}: entry of 2 toward 3, and its mirror entry of 3 toward 2.
+	p, q := g.off[2]+2, g.off[3]
+	if g.nbr[p] != 3 || g.nbr[q] != 2 {
+		t.Fatalf("fixture layout changed: nbr[%d]=%d nbr[%d]=%d", p, g.nbr[p], q, g.nbr[q])
+	}
+	bad.wOut[p], bad.wIn[q] = -0.125, -0.125
+	var buf bytes.Buffer
+	if err := Encode(&buf, bad); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Decode(&buf)
+	if err == nil || !strings.Contains(err.Error(), "negative tightness on edge {2,3}") {
+		t.Fatalf("Decode error = %v, want negative tightness on edge {2,3}", err)
+	}
 }
 
 func TestReadEdgeListJSON(t *testing.T) {

@@ -31,6 +31,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node; nodes are dense integers in [0, N).
@@ -44,15 +45,45 @@ type Graph struct {
 	wOut     []float64 // τ_{i, nbr[p]} for p in [off[i], off[i+1])
 	wIn      []float64 // τ_{nbr[p], i}
 	wSum     []float64 // wOut[p] + wIn[p], the fused hot-path weight
+
+	checked sync.Map // CheckOnce keys whose check passed on this graph
+}
+
+// CheckOnce runs check the first time it is called with key on this graph
+// and remembers a pass, so later calls with that key return nil at once;
+// a failure is not remembered. It suits checks of data that is a pure
+// function of the immutable graph and the key: objective.Bind keys its
+// contract check by objective name, so per-request binds pay it once per
+// graph.
+func (g *Graph) CheckOnce(key string, check func() error) error {
+	if _, ok := g.checked.Load(key); ok {
+		return nil
+	}
+	if err := check(); err != nil {
+		return err
+	}
+	g.checked.Store(key, struct{}{})
+	return nil
 }
 
 // fuse (re)derives the fused weight array from the directed weights. Every
-// construction path (Builder.Build, codec Decode) calls it exactly once.
-func (g *Graph) fuse() {
-	g.wSum = make([]float64, len(g.nbr))
-	for p := range g.nbr {
-		g.wSum[p] = g.wOut[p] + g.wIn[p]
+// construction path (Builder.Build, ApplyMutations, codec Decode) calls it
+// exactly once. It fails when a sum overflows: every τ is finite, but two
+// large ones (or merged duplicate arcs) can add up to +Inf, and the fused
+// slab must stay finite because objectives alias it as their Edge array.
+func (g *Graph) fuse() error {
+	wSum := make([]float64, len(g.nbr))
+	wOut, wIn := g.wOut[:len(wSum)], g.wIn[:len(wSum)]
+	for p := range wSum {
+		s := wOut[p] + wIn[p]
+		if math.IsInf(s, 0) {
+			v := sort.Search(g.N(), func(i int) bool { return g.off[i+1] > int64(p) })
+			return fmt.Errorf("graph: tightness of edge {%d,%d} overflows", v, g.nbr[p])
+		}
+		wSum[p] = s
 	}
+	g.wSum = wSum
+	return nil
 }
 
 // N returns the node count.
@@ -255,8 +286,8 @@ func (g *Graph) WithoutNodes(drop []NodeID) (*Graph, []NodeID) {
 }
 
 // Validate checks structural invariants: sorted unique adjacency, symmetric
-// edge presence, mirrored weights, finite scores. Intended for tests and
-// for data loaded from external files.
+// edge presence, mirrored weights, finite scores and nonnegative
+// tightness. Intended for tests and for data loaded from external files.
 func (g *Graph) Validate() error {
 	n := NodeID(g.N())
 	if len(g.off) != g.N()+1 || g.off[0] != 0 || g.off[g.N()] != int64(len(g.nbr)) {
@@ -284,6 +315,9 @@ func (g *Graph) Validate() error {
 			}
 			if math.IsNaN(tauOut[p]) || math.IsInf(tauOut[p], 0) || math.IsNaN(tauIn[p]) || math.IsInf(tauIn[p], 0) {
 				return fmt.Errorf("graph: non-finite tightness on edge {%d,%d}", i, u)
+			}
+			if tauOut[p] < 0 || tauIn[p] < 0 {
+				return fmt.Errorf("graph: negative tightness on edge {%d,%d}", i, u)
 			}
 			ro, ri, ok := g.Tau(u, i)
 			if !ok {

@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"errors"
 	"math"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -157,6 +161,32 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderRejectsBadTau: a negative tightness would make the §3.1 bound
+// inadmissible, so AddArc refuses it and Build reports the arc — even when
+// a later positive duplicate would sum the edge back above 0. A fused
+// weight that overflows is refused too.
+func TestBuilderRejectsBadTau(t *testing.T) {
+	b := NewBuilder(3)
+	b.AddEdge(0, 1, 1, 1)
+	b.AddEdge(1, 2, 0.5, -0.25)
+	b.AddArc(2, 1, 1)
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), "AddArc(2,1)") || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("Build error = %v, want negative tightness on AddArc(2,1)", err)
+	}
+	b = NewBuilder(2)
+	b.AddEdgeSym(0, 1, math.Copysign(0, -1)) // −0 is not negative
+	if _, err := b.Build(); err != nil {
+		t.Errorf("Build rejected τ = −0: %v", err)
+	}
+	// Each arc is finite, but the fused τ_out+τ_in is not.
+	b = NewBuilder(3)
+	b.AddEdge(2, 1, math.MaxFloat64, math.MaxFloat64)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "tightness of edge {1,2} overflows") {
+		t.Errorf("Build error = %v, want overflow on edge {1,2}", err)
+	}
+}
+
 func TestWithoutNodes(t *testing.T) {
 	g := buildRef(t)
 	sub, mapping := g.WithoutNodes([]NodeID{1})
@@ -189,5 +219,47 @@ func TestLargestComponent(t *testing.T) {
 	}
 	if !seen[0] || !seen[1] || !seen[2] {
 		t.Errorf("largest component = %v, want {0,1,2}", comp)
+	}
+}
+
+// TestCheckOnce: a passing check runs once per graph and key; a failing
+// one is not remembered, and other keys and other graphs check afresh.
+func TestCheckOnce(t *testing.T) {
+	g, h := buildRef(t), buildRef(t)
+	runs := 0
+	pass := func() error { runs++; return nil }
+	fail := func() error { runs++; return errors.New("bad") }
+	for i := 0; i < 3; i++ {
+		if err := g.CheckOnce("a", pass); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.CheckOnce("b", fail); err == nil {
+			t.Fatal("failing check passed")
+		}
+	}
+	if err := h.CheckOnce("a", pass); err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1+3+1 {
+		t.Errorf("checks ran %d times, want 5 (a once per graph, b every call)", runs)
+	}
+
+	// Concurrent first calls may each run the check; all pass, and the
+	// verdict is remembered afterwards.
+	var wg sync.WaitGroup
+	var concurrent atomic.Int32
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := g.CheckOnce("c", func() error { concurrent.Add(1); return nil }); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	before := concurrent.Load()
+	if err := g.CheckOnce("c", func() error { concurrent.Add(1); return nil }); err != nil || before < 1 || concurrent.Load() != before {
+		t.Errorf("after %d concurrent checks: err %v, ran %d more", before, err, concurrent.Load()-before)
 	}
 }

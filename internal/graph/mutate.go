@@ -194,6 +194,9 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 					math.IsNaN(m.TauIn) || math.IsInf(m.TauIn, 0) {
 					return fail("non-finite tightness")
 				}
+				if m.TauOut < 0 || m.TauIn < 0 {
+					return fail("negative tightness on edge {%d,%d}", m.U, m.V)
+				}
 				if m.Op == MutAddEdge && st.exists {
 					return fail("edge {%d,%d} already exists", m.U, m.V)
 				}
@@ -325,7 +328,9 @@ func (g *Graph) ApplyMutations(muts []Mutation) (*Graph, []NodeID, error) {
 	}
 
 	g2 := &Graph{interest: interest, off: off, nbr: nbr, wOut: wOut, wIn: wIn}
-	g2.fuse()
+	if err := g2.fuse(); err != nil {
+		return nil, nil, err
+	}
 	slices.Sort(touched)
 	return g2, dedupe(touched), nil
 }

@@ -274,6 +274,9 @@ func TestApplyMutationsErrors(t *testing.T) {
 		{"self loop", []Mutation{{Op: MutAddEdge, U: 1, V: 1, TauOut: 1, TauIn: 1}}, "self-loop"},
 		{"edge out of range", []Mutation{{Op: MutAddEdge, U: 0, V: 9, TauOut: 1, TauIn: 1}}, "out of range"},
 		{"tau inf", []Mutation{{Op: MutAddEdge, U: 0, V: 2, TauOut: inf, TauIn: 1}}, "non-finite"},
+		{"add tau negative", []Mutation{{Op: MutAddEdge, U: 0, V: 2, TauOut: 1, TauIn: -0.5}}, "negative tightness on edge {0,2}"},
+		{"set tau negative", []Mutation{{Op: MutSetTau, U: 1, V: 0, TauOut: -1, TauIn: 1}}, "negative tightness on edge {1,0}"},
+		{"tau overflow", []Mutation{{Op: MutSetTau, U: 0, V: 1, TauOut: math.MaxFloat64, TauIn: math.MaxFloat64}}, "tightness of edge {0,1} overflows"},
 		{"add existing", []Mutation{{Op: MutAddEdge, U: 0, V: 1, TauOut: 1, TauIn: 1}}, "already exists"},
 		{"del missing", []Mutation{{Op: MutDelEdge, U: 0, V: 2}}, "does not exist"},
 		{"set missing", []Mutation{{Op: MutSetTau, U: 0, V: 2, TauOut: 1, TauIn: 1}}, "does not exist"},

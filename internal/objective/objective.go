@@ -13,11 +13,17 @@
 // and the value of a group F is Σ_{v∈F} Node[v] plus Σ Edge over the
 // edges inside F, each undirected edge counted once. Edge values must be
 // symmetric per undirected edge (the entry at v for u bit-equals the
-// entry at u for v) and nonnegative, and Node values finite: under those
-// conditions the §3.1 start-node bound — Bound(v) = Node[v] + Σ incident
-// Edge — is admissible (Δ(v|S) ≤ Bound(v) for every S), so the solvers'
-// shared-incumbent pruning and the CBAS phase-1 ranking carry over to
-// every objective unchanged.
+// entry at u for v), nonnegative and finite, and Node values finite:
+// under those conditions the §3.1 start-node bound — Bound(v) = Node[v] +
+// Σ incident Edge — is admissible (Δ(v|S) ≤ Bound(v) for every S), so the
+// solvers' shared-incumbent pruning and the CBAS phase-1 ranking carry
+// over to every objective unchanged. The growth kernel relies on
+// bit-symmetry too: a node u that first joins the frontier when its
+// neighbour v is taken gets Δ = Node[u] + (entry at v for u) without a
+// scan of its own adjacency, which equals the from-scratch Δ only if both
+// entries of the edge carry the same bits. The graph guarantees the
+// contract for its own fused slabs, which willingness aliases; Bind
+// verifies it for arrays an objective computes.
 //
 // Objectives register themselves by name exactly like solvers
 // (Register/New/Names); "willingness" is the extracted paper default and
@@ -28,6 +34,7 @@ package objective
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -110,18 +117,74 @@ type Binding struct {
 	node []float64
 }
 
-// Bind evaluates obj's arrays over g. Cost is the objective's Arrays
-// (O(n+m) at worst; free for willingness, which aliases graph storage).
-// Panics if the objective returns misshapen arrays — a programmer error
-// in the objective, not an input error.
+// Bind evaluates obj's arrays over g and verifies the contract. Panics if
+// the objective returns misshapen arrays or breaks the contract — a
+// programmer error in the objective, not an input error: the graph layer
+// refuses non-finite scores and negative or overflowing tightness where
+// data enters.
+//
+// Cost is the objective's Arrays plus at most one O(n+m) contract pass
+// per graph and objective. Arrays that alias the graph's own fused slabs
+// (willingness, budget) need none: the graph already guarantees them —
+// finite η, finite τ ≥ 0 stored mirrored at both endpoints, and a finite
+// τ_out+τ_in that is the same float sum at either end. Arrays an
+// objective computes are checked the first time the objective is bound
+// to g; g is immutable and Arrays deterministic, so later binds of the
+// same objective name to g reuse the verdict.
 func Bind(obj Objective, g *graph.Graph) *Binding {
 	a := obj.Arrays(g)
-	off, nbr, _, _ := g.FusedCSR()
+	off, nbr, wSum, interest := g.FusedCSR()
 	if len(a.Node) != g.N() || len(a.Edge) != len(nbr) {
 		panic(fmt.Sprintf("objective: %s.Arrays returned %d node / %d edge values for a graph with %d nodes / %d adjacency entries",
 			obj.Name(), len(a.Node), len(a.Edge), g.N(), len(nbr)))
 	}
+	if !sameSlab(a.Edge, wSum) || !sameSlab(a.Node, interest) {
+		if err := g.CheckOnce(obj.Name(), func() error { return checkContract(off, nbr, a) }); err != nil {
+			panic(fmt.Sprintf("objective: %s.Arrays %v", obj.Name(), err))
+		}
+	}
 	return &Binding{obj: obj, g: g, off: off, nbr: nbr, edge: a.Edge, node: a.Node}
+}
+
+// sameSlab reports whether a is b: the same length over the same backing
+// array.
+func sameSlab(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// checkContract reports the first violation of the fused-additive
+// contract: a non-finite Node value, or an Edge entry that is negative,
+// non-finite or not bit-equal to its mirror entry. One pass in O(n+m):
+// u's entries toward lower ids lead its sorted adjacency, and nodes are
+// visited in ascending order, so a per-node cursor stands on the mirror
+// entry of {v,u} exactly when v asks for it (the graph guarantees every
+// edge is listed at both endpoints).
+func checkContract(off []int64, nbr []graph.NodeID, a Arrays) error {
+	for v, x := range a.Node {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("has non-finite Node[%d] = %v", v, x)
+		}
+	}
+	n := len(a.Node)
+	cursor := slices.Clone(off[:n])
+	for v := 0; v < n; v++ {
+		for p := off[v]; p < off[v+1]; p++ {
+			u := nbr[p]
+			if int(u) < v {
+				continue // checked from u's side
+			}
+			e := a.Edge[p]
+			if !(e >= 0) || math.IsInf(e, 1) {
+				return fmt.Errorf("has Edge %v at {%d,%d}, want finite and >= 0", e, v, u)
+			}
+			q := cursor[u]
+			cursor[u]++
+			if math.Float64bits(a.Edge[q]) != math.Float64bits(e) {
+				return fmt.Errorf("has asymmetric Edge at {%d,%d}: %v vs %v", v, u, e, a.Edge[q])
+			}
+		}
+	}
+	return nil
 }
 
 // Objective returns the bound objective.

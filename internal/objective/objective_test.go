@@ -295,3 +295,55 @@ func (truncated) Name() string { return "truncated" }
 func (truncated) Arrays(g *graph.Graph) Arrays {
 	return Arrays{Edge: make([]float64, 1), Node: make([]float64, 1)}
 }
+
+// TestBindContract: an objective whose arrays break the fused-additive
+// contract must panic at Bind, naming itself and the offending edge. The
+// growth kernel derives a new frontier node's Δ from the entry at its
+// in-group neighbour, so one asymmetric entry would silently change
+// answers.
+func TestBindContract(t *testing.T) {
+	g := buildRef(t)
+	for _, tc := range []struct {
+		name  string
+		edit  func(a Arrays, off []int64)
+		panic string
+	}{
+		// Entry of node 1 toward node 2 (adjacency of 1 is [0 2]).
+		{"asymmetric", func(a Arrays, off []int64) { a.Edge[off[1]+1] += 0x1p-40 },
+			"objective: broken.Arrays has asymmetric Edge at {1,2}"},
+		{"negative", func(a Arrays, off []int64) { a.Edge[off[3]] = -1 },
+			"objective: broken.Arrays has Edge -1 at {3,4}"},
+		{"infinite", func(a Arrays, off []int64) { a.Edge[off[0]] = math.Inf(1) },
+			"objective: broken.Arrays has Edge +Inf at {0,1}"},
+		{"NaN node", func(a Arrays, _ []int64) { a.Node[4] = math.NaN() },
+			"objective: broken.Arrays has non-finite Node[4]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.panic) {
+					t.Errorf("Bind panic = %q, want prefix %q", msg, tc.panic)
+				}
+			}()
+			Bind(broken{edit: tc.edit}, g)
+		})
+	}
+	for _, obj := range All() {
+		Bind(obj, g) // every registered objective honours the contract
+	}
+}
+
+// broken is a test-only objective: willingness arrays, copied, then edited
+// to break the contract.
+type broken struct {
+	Additive
+	edit func(a Arrays, off []int64)
+}
+
+func (broken) Name() string { return "broken" }
+func (b broken) Arrays(g *graph.Graph) Arrays {
+	off, _, wSum, interest := g.FusedCSR()
+	a := Arrays{Edge: append([]float64(nil), wSum...), Node: append([]float64(nil), interest...)}
+	b.edit(a, off)
+	return a
+}

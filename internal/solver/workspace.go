@@ -182,10 +182,11 @@ func (ws *workspace) reset() {
 }
 
 // deltaOf computes the objective's marginal gain Δ(v | set) — for
-// willingness, η_v + Σ_{u∈set∩N(v)} (τ_{v,u} + τ_{u,v}) — with a direct
-// fused-adjacency scan — the hot path of every solver. One float64 read
-// per neighbor, no interface calls: the objective's semantics live in the
-// bound slabs.
+// willingness, η_v + Σ_{u∈set∩N(v)} (τ_{v,u} + τ_{u,v}) — from scratch
+// with a direct fused-adjacency scan. O(deg v). Uniform growth (CBAS)
+// charges each member once through it; the weighted kernel maintains ΔW
+// incrementally in takeSlot instead, and TestFrontierDeltaOracle checks
+// that against it.
 func (ws *workspace) deltaOf(v graph.NodeID) float64 {
 	d := ws.sub.eta[v]
 	nbrs, w := ws.sub.edges(v)
@@ -331,6 +332,16 @@ func (ws *workspace) seedSlot(start graph.NodeID) {
 // takeSlot moves the node at slot into the group and refreshes the ΔW of
 // affected frontier slots (plus their Fenwick weights or heap entries when
 // the corresponding mode is active).
+//
+// A neighbour u of v seen for the first time gets ΔW(u|S) = eta[u] + w[p]
+// in O(1), with no scan of u's adjacency. inFront marks every node that has
+// been on the frontier this growth, and every member already expanded its
+// whole neighbourhood into it, so a node outside inFront has exactly one
+// neighbour in the group: v. The sum is then the one deltaOf(u) would form,
+// bit for bit, given two preconditions: adjacency is sorted and unique (no
+// multi-edge adds a second term; Graph.Validate), and the entry at v for u
+// bit-equals the entry at u for v (the objective contract, see
+// objective.Bind; regions are induced subgraphs and keep it).
 func (ws *workspace) takeSlot(slot int) {
 	v := ws.slots[slot]
 	ws.will += ws.delta[slot]
@@ -369,7 +380,7 @@ func (ws *workspace) takeSlot(slot int) {
 		s := len(ws.slots)
 		ws.slots = append(ws.slots, u)
 		ws.slotOf[u] = int32(s)
-		d := ws.deltaOf(u)
+		d := ws.sub.eta[u] + w[p]
 		ws.delta = append(ws.delta, d)
 		if ws.fenActive {
 			ws.fen.Set(s, powWeight(d, ws.alpha))
