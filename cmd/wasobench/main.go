@@ -124,7 +124,6 @@ func run(args []string, out io.Writer) error {
 		throughput = fs.Bool("throughput", false, "serving-replay mode: fire concurrent solve requests at a resident graph and report QPS + latency percentiles")
 		concs      = fs.String("concurrency", "1,8,32", "throughput mode: comma-separated concurrent client counts (overload mode uses the largest as its closed-loop client count)")
 		requests   = fs.Int("requests", 256, "throughput mode: total solve requests per configuration")
-		execModes  = fs.String("execmodes", "shared,private", "throughput mode: scheduler modes to sweep (shared = one bounded executor, private = per-request pools)")
 
 		mutate       = fs.Bool("mutate", false, "mutation-replay mode: apply random mutation batches through an in-process service while clients solve, and report mutation + solve latency")
 		mutations    = fs.Int("mutations", 128, "mutate mode: total mutation batches to apply")
@@ -315,27 +314,20 @@ func run(args []string, out io.Writer) error {
 		if len(inapplicable) > 0 {
 			return fmt.Errorf("%s do not apply in -throughput mode", strings.Join(inapplicable, ", "))
 		}
-		var modeList []string
-		for _, m := range strings.Split(*execModes, ",") {
-			m = strings.TrimSpace(m)
-			if m != "shared" && m != "private" {
-				return fmt.Errorf("-execmodes: unknown mode %q (want shared or private)", m)
-			}
-			modeList = append(modeList, m)
-		}
 		cfg := throughputConfig{
 			sizes: sizes, ks: kSweep, algos: algoNames, concs: concList,
-			execModes: modeList, genKind: *genKind, avgDeg: *avgDeg,
+			genKind: *genKind, avgDeg: *avgDeg,
 			region: modes[0], starts: *starts, samples: *samples,
 			requests: *requests, seed: *seed,
 		}
 		return runThroughput(cfg, *outPath, out, args)
 	}
 
-	// Raise GOMAXPROCS to the top of the sweep so worker counts are not
-	// clamped on small machines; on fewer cores the high-worker rows then
-	// measure scheduling overhead rather than speedup, which is the honest
-	// number for that hardware.
+	// Raise GOMAXPROCS to the top of the sweep, and run every solve on an
+	// executor of that size, so worker counts are not clamped on small
+	// machines; on fewer cores the high-worker rows then measure scheduling
+	// overhead rather than speedup, which is the honest number for that
+	// hardware.
 	maxW := 1
 	for _, w := range sweep {
 		if w > maxW {
@@ -345,6 +337,8 @@ func run(args []string, out io.Writer) error {
 	if maxW > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(maxW)
 	}
+	ex := solver.NewExecutor(maxW)
+	defer ex.Close()
 
 	rep := report{
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -362,7 +356,7 @@ func run(args []string, out io.Writer) error {
 			*genKind, *avgDeg, *starts, *samples),
 	}
 
-	ctx := context.Background()
+	ctx := solver.WithExecutor(context.Background(), ex)
 	for _, n := range sizes {
 		fmt.Fprintf(os.Stderr, "wasobench: generating %s n=%d avgdeg=%g...\n", *genKind, n, *avgDeg)
 		began := time.Now()
@@ -482,7 +476,7 @@ func measure(ctx context.Context, g *graph.Graph, sv solver.Solver, req core.Req
 // throughputConfig parameterizes one serving replay sweep.
 type throughputConfig struct {
 	sizes, ks, concs []int
-	algos, execModes []string
+	algos            []string
 	genKind          string
 	avgDeg           float64
 	region           core.RegionMode
@@ -494,11 +488,8 @@ type throughputConfig struct {
 // runThroughput is the serving-replay mode: against each resident graph it
 // fires cfg.requests solve requests from N concurrent clients — the many
 // small (k, budget) queries of the serving workload, seeds varied per
-// request — and reports QPS plus p50/p95/p99 latency. The exec axis is the
-// point of the sweep: "shared" routes every request through one bounded
-// solver.Executor (the wasod serving path), "private" gives each request
-// its own GOMAXPROCS-sized pool (the pre-executor behavior), so the rows
-// quantify what oversubscription costs at each concurrency level.
+// request — and reports QPS plus p50/p95/p99 latency. Every request runs
+// on one bounded solver.Executor, the wasod serving path.
 func runThroughput(cfg throughputConfig, outPath string, out io.Writer, args []string) error {
 	rep := report{
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -509,8 +500,7 @@ func runThroughput(cfg throughputConfig, outPath string, out io.Writer, args []s
 		Command:    "wasobench " + strings.Join(args, " "),
 		Note: fmt.Sprintf("Serving throughput replay: %d solve requests (seeds varied per request) fired by "+
 			"concurrent clients against one resident graph sharing Prep, workspace pool and region cache. "+
-			"exec=shared schedules every request on one bounded executor (total solver goroutines = GOMAXPROCS); "+
-			"exec=private spawns a GOMAXPROCS-sized pool per request, oversubscribing the CPU at high concurrency. "+
+			"Every request is scheduled on one bounded executor (total solver goroutines = GOMAXPROCS). "+
 			"%d starts x %d samples per request; ns_per_op is mean latency, p50/p95/p99 and qps recorded per row. "+
 			"Each row also carries 'metrics': serving-telemetry deltas (cache/pool/executor counters, queue-wait "+
 			"percentiles) scraped around the replay, keyed by the wasod /metrics family names.",
@@ -542,6 +532,7 @@ func runThroughput(cfg throughputConfig, outPath string, out io.Writer, args []s
 			warm = solver.WithRegionCache(warm, cache)
 			ex := solver.NewExecutor(0)
 			defer ex.Close()
+			warm = solver.WithExecutor(warm, ex)
 			for _, k := range cfg.ks {
 				for _, algoName := range cfg.algos {
 					sv, err := solver.New(algoName)
@@ -553,28 +544,22 @@ func runThroughput(cfg throughputConfig, outPath string, out io.Writer, args []s
 					base.Samples = cfg.samples
 					base.Region = cfg.region
 					for _, conc := range cfg.concs {
-						for _, mode := range cfg.execModes {
-							ctx := warm
-							if mode == "shared" {
-								ctx = solver.WithExecutor(ctx, ex)
-							}
-							// Warm up before the scrape so the metric deltas
-							// cover exactly the timed replay below.
-							warmReq := base
-							warmReq.Seed = cfg.seed
-							if _, err := sv.Solve(ctx, g, warmReq); err != nil {
-								return err
-							}
-							before := snapshotServing(pool, cache, ex)
-							e, err := measureThroughput(ctx, g, sv, base, conc, cfg.requests, cfg.seed)
-							if err != nil {
-								return err
-							}
-							e.Metrics = snapshotServing(pool, cache, ex).delta(before)
-							e.Name = throughputRowName(n, cfg.genKind, k, algoName, conc, mode)
-							fmt.Fprintf(os.Stderr, "wasobench: %-64s %9.1f qps  p99 %11.0f ns\n", e.Name, e.QPS, e.P99)
-							rep.Benchmarks = append(rep.Benchmarks, e)
+						// Warm up before the scrape so the metric deltas
+						// cover exactly the timed replay below.
+						warmReq := base
+						warmReq.Seed = cfg.seed
+						if _, err := sv.Solve(warm, g, warmReq); err != nil {
+							return err
 						}
+						before := snapshotServing(pool, cache, ex)
+						e, err := measureThroughput(warm, g, sv, base, conc, cfg.requests, cfg.seed)
+						if err != nil {
+							return err
+						}
+						e.Metrics = snapshotServing(pool, cache, ex).delta(before)
+						e.Name = throughputRowName(n, cfg.genKind, k, algoName, conc)
+						fmt.Fprintf(os.Stderr, "wasobench: %-64s %9.1f qps  p99 %11.0f ns\n", e.Name, e.QPS, e.P99)
+						rep.Benchmarks = append(rep.Benchmarks, e)
 					}
 				}
 			}
@@ -659,7 +644,7 @@ func (after servingSnapshot) delta(before servingSnapshot) map[string]float64 {
 
 // throughputRowName renders one throughput row, omitting default axes like
 // rowName does.
-func throughputRowName(n int, genKind string, k int, algo string, conc int, mode string) string {
+func throughputRowName(n int, genKind string, k int, algo string, conc int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "BenchmarkThroughput/n=%d", n)
 	if genKind != defaultGen {
@@ -668,7 +653,7 @@ func throughputRowName(n int, genKind string, k int, algo string, conc int, mode
 	if k != defaultK {
 		fmt.Fprintf(&b, "/k=%d", k)
 	}
-	fmt.Fprintf(&b, "/%s/conc=%d/exec=%s", algo, conc, mode)
+	fmt.Fprintf(&b, "/%s/conc=%d", algo, conc)
 	return b.String()
 }
 

@@ -102,8 +102,8 @@ func TestHarnessRegionSweep(t *testing.T) {
 }
 
 // TestThroughputMode: the serving replay produces one row per (algo,
-// concurrency, exec mode) with positive QPS and ordered percentiles, and
-// rejects bad sweep flags.
+// concurrency) with positive QPS and ordered percentiles, and rejects bad
+// sweep flags.
 func TestThroughputMode(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
@@ -117,8 +117,8 @@ func TestThroughputMode(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	// 1 algo × 2 concurrencies × 2 exec modes.
-	if want := 4; len(rep.Benchmarks) != want {
+	// 1 algo × 2 concurrencies.
+	if want := 2; len(rep.Benchmarks) != want {
 		t.Fatalf("got %d rows, want %d: %v", len(rep.Benchmarks), want, names(rep.Benchmarks))
 	}
 	seen := map[string]bool{}
@@ -141,26 +141,21 @@ func TestThroughputMode(t *testing.T) {
 		if got := b.Metrics["waso_workspace_pool_gets_total"]; got <= 0 {
 			t.Errorf("%s: waso_workspace_pool_gets_total = %v, want > 0", b.Name, got)
 		}
-		shared := strings.HasSuffix(b.Name, "exec=shared")
-		if jobs := b.Metrics["waso_executor_jobs_total"]; shared && jobs != 8 {
+		if jobs := b.Metrics["waso_executor_jobs_total"]; jobs != 8 {
 			t.Errorf("%s: waso_executor_jobs_total = %v, want 8 (one per request)", b.Name, jobs)
-		} else if !shared && jobs != 0 {
-			t.Errorf("%s: waso_executor_jobs_total = %v, want 0 on private pools", b.Name, jobs)
 		}
-		if shared {
-			if cnt := b.Metrics["waso_executor_queue_wait_seconds_count"]; cnt != 8 {
-				t.Errorf("%s: queue-wait count = %v, want 8", b.Name, cnt)
-			}
-			p50 := b.Metrics["waso_executor_queue_wait_seconds_p50"]
-			p99 := b.Metrics["waso_executor_queue_wait_seconds_p99"]
-			if p50 < 0 || p99 < p50 {
-				t.Errorf("%s: queue-wait percentiles p50=%v p99=%v", b.Name, p50, p99)
-			}
+		if cnt := b.Metrics["waso_executor_queue_wait_seconds_count"]; cnt != 8 {
+			t.Errorf("%s: queue-wait count = %v, want 8", b.Name, cnt)
+		}
+		p50 := b.Metrics["waso_executor_queue_wait_seconds_p50"]
+		p99 := b.Metrics["waso_executor_queue_wait_seconds_p99"]
+		if p50 < 0 || p99 < p50 {
+			t.Errorf("%s: queue-wait percentiles p50=%v p99=%v", b.Name, p50, p99)
 		}
 	}
 	for _, want := range []string{
-		"BenchmarkThroughput/n=2000/cbas/conc=1/exec=shared",
-		"BenchmarkThroughput/n=2000/cbas/conc=2/exec=private",
+		"BenchmarkThroughput/n=2000/cbas/conc=1",
+		"BenchmarkThroughput/n=2000/cbas/conc=2",
 	} {
 		if !seen[want] {
 			t.Errorf("missing row %q (have %v)", want, names(rep.Benchmarks))
@@ -170,7 +165,6 @@ func TestThroughputMode(t *testing.T) {
 	for _, args := range [][]string{
 		{"-throughput", "-n", "100", "-requests", "0"},
 		{"-throughput", "-n", "100", "-concurrency", "0"},
-		{"-throughput", "-n", "100", "-execmodes", "quantum"},
 		// Sweep axes the replay does not honour fail loudly instead of
 		// silently shaping the output.
 		{"-throughput", "-n", "100", "-regions", "off,auto"},

@@ -44,12 +44,13 @@
 //	          any registered objective unchanged. WithPrep shares a
 //	          precomputed start ranking (objective Bound scores) across
 //	          calls (per-call solves build a partial top-t ranking
-//	          instead of sorting the graph), WithWorkspacePool recycles per-worker scratch
-//	          buffers, WithRegionCache shares a bounded LRU of extracted
-//	          (start, radius) regions, and WithExecutor schedules a
-//	          solve's tasks on a shared bounded Executor — one goroutine
-//	          pool for the whole process, drained fairly across
-//	          concurrent solves — instead of a private per-call pool.
+//	          instead of sorting the graph), WithWorkspacePool recycles
+//	          per-task scratch buffers, WithRegionCache shares a bounded
+//	          LRU of extracted (start, radius) regions, and every solve
+//	          runs its tasks on a bounded Executor — one goroutine pool,
+//	          drained fairly across concurrent solves: the one attached
+//	          with WithExecutor, or a package default started on first
+//	          use.
 //	          The executor schedules two priority lanes (interactive,
 //	          bulk) by weighted round-robin and drops queued tasks whose
 //	          solve deadline already passed at dequeue.

@@ -112,9 +112,10 @@ type Request struct {
 	// Execution strategy only: never affects Best or SamplesDrawn.
 	Region RegionMode `json:"region"`
 
-	// Workers bounds the solver's goroutine pool; ≤ 0 means GOMAXPROCS,
-	// and values above GOMAXPROCS are clamped to it (each worker carries
-	// an O(n) workspace, so the pool never exceeds the hardware).
+	// Workers bounds how many of the solve's tasks run at once on the
+	// executor; ≤ 0 means GOMAXPROCS, and values above GOMAXPROCS are
+	// clamped to it (each running task carries a workspace, so a solve
+	// never holds more than the hardware can use).
 	// Scheduling only — it never affects results, so it is not part of the
 	// request identity for caching.
 	Workers int `json:"workers,omitempty"`

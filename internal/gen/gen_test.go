@@ -82,7 +82,11 @@ func TestPreferentialAttachment(t *testing.T) {
 	if g.M() != wantM {
 		t.Errorf("M = %d, want %d", g.M(), wantM)
 	}
-	if len(g.LargestComponent()) != n {
+	all := make([]graph.NodeID, n)
+	for v := range all {
+		all[v] = graph.NodeID(v)
+	}
+	if !g.Connected(all) {
 		t.Error("preferential-attachment graph must be connected")
 	}
 	for v := graph.NodeID(0); int(v) < n; v++ {

@@ -200,42 +200,6 @@ func (g *Graph) Connected(set []NodeID) bool {
 	return count == len(sorted)
 }
 
-// ComponentOf returns the ids of the connected component containing v, in
-// BFS order.
-func (g *Graph) ComponentOf(v NodeID) []NodeID {
-	seen := map[NodeID]struct{}{v: {}}
-	out := []NodeID{v}
-	for head := 0; head < len(out); head++ {
-		for _, u := range g.Neighbors(out[head]) {
-			if _, vis := seen[u]; vis {
-				continue
-			}
-			seen[u] = struct{}{}
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// LargestComponent returns the node ids of the largest connected component.
-func (g *Graph) LargestComponent() []NodeID {
-	visited := make([]bool, g.N())
-	var best []NodeID
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		if visited[v] {
-			continue
-		}
-		comp := g.ComponentOf(v)
-		for _, u := range comp {
-			visited[u] = true
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	return best
-}
-
 // Subgraph returns the graph induced on keep (deduplicated), along with the
 // mapping newID -> oldID. Node p in the result corresponds to mapping[p] in
 // g. Scores are carried over.
@@ -266,23 +230,6 @@ func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
 		panic("graph: Subgraph rebuild failed: " + err.Error()) // unreachable: inputs come from a valid graph
 	}
 	return sub, uniq
-}
-
-// WithoutNodes returns a copy of g with the given nodes (and their incident
-// edges) removed, plus the newID->oldID mapping. Used by online
-// recomputation when invitees decline (§4.4.1).
-func (g *Graph) WithoutNodes(drop []NodeID) (*Graph, []NodeID) {
-	dropSet := make(map[NodeID]struct{}, len(drop))
-	for _, v := range drop {
-		dropSet[v] = struct{}{}
-	}
-	keep := make([]NodeID, 0, g.N()-len(dropSet))
-	for v := NodeID(0); int(v) < g.N(); v++ {
-		if _, d := dropSet[v]; !d {
-			keep = append(keep, v)
-		}
-	}
-	return g.Subgraph(keep)
 }
 
 // Validate checks structural invariants: sorted unique adjacency, symmetric

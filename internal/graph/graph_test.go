@@ -187,41 +187,6 @@ func TestBuilderRejectsBadTau(t *testing.T) {
 	}
 }
 
-func TestWithoutNodes(t *testing.T) {
-	g := buildRef(t)
-	sub, mapping := g.WithoutNodes([]NodeID{1})
-	if sub.N() != 4 {
-		t.Fatalf("N = %d, want 4", sub.N())
-	}
-	for _, old := range mapping {
-		if old == 1 {
-			t.Fatalf("dropped node 1 still present in mapping %v", mapping)
-		}
-	}
-	// {0,2} edge survives; 0 and 2 are now ids 0 and 1.
-	if !sub.HasEdge(0, 1) {
-		t.Error("edge {0,2} lost by WithoutNodes")
-	}
-	if err := sub.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	g := buildRef(t)
-	comp := g.LargestComponent()
-	if len(comp) != 3 {
-		t.Fatalf("largest component size %d, want 3", len(comp))
-	}
-	seen := map[NodeID]bool{}
-	for _, v := range comp {
-		seen[v] = true
-	}
-	if !seen[0] || !seen[1] || !seen[2] {
-		t.Errorf("largest component = %v, want {0,1,2}", comp)
-	}
-}
-
 // TestCheckOnce: a passing check runs once per graph and key; a failing
 // one is not remembered, and other keys and other graphs check afresh.
 func TestCheckOnce(t *testing.T) {

@@ -13,8 +13,8 @@
 // The service also owns one shared solver.Executor — a single goroutine
 // pool sized to GOMAXPROCS — and routes every Solve and SolveBatch through
 // it, so total solver goroutines stay bounded no matter how many requests
-// are in flight; without it each solve would spin a private pool and N
-// concurrent requests would oversubscribe the CPU N-fold. SolveBatch runs
+// are in flight, and admission control and /metrics read its lanes and
+// queue. SolveBatch runs
 // many (algo, request) items against one graph in a single call, items
 // scheduled concurrently and failing independently.
 //
@@ -203,8 +203,8 @@ func New(cfg Config) *Service {
 }
 
 // Close stops the shared solve executor after draining in-flight work. The
-// store itself needs no teardown; solves issued after Close still complete
-// on private per-call pools.
+// store itself needs no teardown; solves issued after Close fail with
+// solver.ErrExecutorClosed.
 func (s *Service) Close() {
 	s.exec.Close()
 }

@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"waso/internal/core"
@@ -64,21 +63,20 @@ func BenchmarkSolvePrepped(b *testing.B) {
 // 100k-node power-law instance, worker-scaling sweep 1/2/4/8 for the
 // sample-chunk scheduler, and prepped vs unprepped solves (the serving
 // path always runs prepped). GOMAXPROCS is raised to the top of the sweep
-// for the duration so worker counts are not clamped on small runners; on
-// machines with fewer cores the high-worker rows measure scheduling
-// overhead rather than speedup. CI runs this at -benchtime=20x as a
-// build-and-run guard (not a threshold gate); cmd/wasobench is the
-// JSON-emitting harness over the same sweep.
+// for the duration, and the solves run on their own executor of that size,
+// so worker counts are not clamped on small runners; on machines with fewer
+// cores the high-worker rows measure scheduling overhead rather than
+// speedup. CI runs this at -benchtime=20x as a build-and-run guard (not a
+// threshold gate); cmd/wasobench is the JSON-emitting harness over the same
+// sweep.
 func BenchmarkLargeGraph(b *testing.B) {
 	const n = 100_000
 	g := benchGraph(b, n)
 	prep := testPrep(g)
-	ctx := WithPrep(context.Background(), prep)
+	exCtx := executorContext(b, 8)
+	ctx := WithPrep(exCtx, prep)
 	base := core.DefaultRequest(10)
 	base.Samples = 50
-
-	prevProcs := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prevProcs)
 
 	for _, algo := range []Solver{CBAS{}, CBASND{}} {
 		for _, workers := range []int{1, 2, 4, 8} {
@@ -101,7 +99,7 @@ func BenchmarkLargeGraph(b *testing.B) {
 		r.Workers = 1
 		for i := 0; i < b.N; i++ {
 			r.Seed = uint64(i)
-			if _, err := (CBASND{}).Solve(context.Background(), g, r); err != nil {
+			if _, err := (CBASND{}).Solve(exCtx, g, r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -115,7 +113,7 @@ func BenchmarkLargeGraph(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	erCtx := WithRegionCache(WithPrep(context.Background(), testPrep(er)), testCache(er, 0))
+	erCtx := WithRegionCache(WithPrep(exCtx, testPrep(er)), testCache(er, 0))
 	for _, mode := range []core.RegionMode{core.RegionAuto, core.RegionOff} {
 		b.Run(fmt.Sprintf("n=%d/gen=er/k=4/cbasnd/workers=1/regions=%s", n, mode), func(b *testing.B) {
 			r := core.DefaultRequest(4)

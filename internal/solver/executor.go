@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -60,12 +61,16 @@ func LaneFor(ctx context.Context) Lane {
 	return LaneInteractive
 }
 
+// ErrExecutorClosed reports a Solve whose context carries an Executor that
+// has been closed: the solve ran nothing.
+var ErrExecutorClosed = errors.New("executor closed")
+
 // Executor is a process-wide, bounded solve scheduler: one goroutine pool —
-// sized to GOMAXPROCS by default — that every Solve whose context carries it
-// (WithExecutor) draws workers from, instead of spawning a private pool per
-// call. N concurrent solves on a private-pool path run N×GOMAXPROCS
-// goroutines and oversubscribe the CPU N-fold; through a shared Executor the
-// total stays at the pool size no matter how many solves are in flight.
+// sized to GOMAXPROCS by default — that runs the tasks of every Solve whose
+// context carries it (WithExecutor); a Solve whose context carries none runs
+// on the package default executor. Solves spawn no goroutines of their own,
+// so the total stays at the pool size no matter how many solves are in
+// flight.
 //
 // Scheduling is fair within a lane and weighted across lanes: each solve
 // submits its (start, sample-chunk) task queue as one job on its lane, idle
@@ -92,9 +97,8 @@ func LaneFor(ctx context.Context) Lane {
 //
 // The zero Executor is not usable; construct with NewExecutor. Close is
 // idempotent and safe to race with in-flight run submissions: it drains
-// queued work and stops the workers, and a closed Executor makes Solve fall
-// back to its private per-call pool, so library callers can shut one down
-// without tearing down solving.
+// queued work and stops the workers. A Solve submitted to a closed Executor
+// fails with ErrExecutorClosed.
 type Executor struct {
 	workers int
 
@@ -228,7 +232,7 @@ func (e *Executor) QueueWait() *metrics.Histogram { return e.queueWait }
 // Close drains all queued jobs and stops the workers. Idempotent and safe
 // to call concurrently, including racing run submissions: a run that wins
 // the race is drained before the workers exit; one that loses returns
-// false and the solve falls back to its private pool.
+// false and its solve fails with ErrExecutorClosed.
 func (e *Executor) Close() {
 	e.mu.Lock()
 	if !e.closed {
@@ -242,8 +246,7 @@ func (e *Executor) Close() {
 // run executes n indexed tasks on the shared pool, at most maxParallel at a
 // time, and returns once every task has completed or been dropped. fn must
 // observe its solve's context itself (tasks of a cancelled solve are still
-// invoked, as fast no-ops) — exactly the drain contract of the private
-// worker pool it replaces. deadline (zero = none) lets the scheduler drop
+// invoked, as fast no-ops). deadline (zero = none) lets the scheduler drop
 // the job's remaining tasks at dequeue once the solve's budget is already
 // exhausted. ok=false means the executor is closed and ran nothing;
 // expired=true means at least one task was dropped for its deadline.
@@ -413,18 +416,21 @@ func (e *Executor) worker() {
 type executorCtxKey struct{}
 
 // WithExecutor returns a context carrying e. A Solve whose context carries
-// an executor schedules its tasks on the shared pool instead of spawning a
-// private one — the mechanism the service layer uses to keep total solver
-// goroutines bounded under concurrent load. Callers that attach nothing keep
-// the per-call pool behavior unchanged.
+// an executor schedules its tasks on it instead of the package default —
+// the mechanism the service layer uses to own its pool's size, lanes and
+// telemetry, and to close it on shutdown.
 func WithExecutor(ctx context.Context, e *Executor) context.Context {
 	return context.WithValue(ctx, executorCtxKey{}, e)
 }
 
-// executorFor returns the context's executor, or nil.
+// defaultExecutor is the executor of solves whose context carries none:
+// sized to GOMAXPROCS at first use and never closed.
+var defaultExecutor = sync.OnceValue(func() *Executor { return NewExecutor(0) })
+
+// executorFor returns the context's executor, or the package default.
 func executorFor(ctx context.Context) *Executor {
-	if e, ok := ctx.Value(executorCtxKey{}).(*Executor); ok {
+	if e, ok := ctx.Value(executorCtxKey{}).(*Executor); ok && e != nil {
 		return e
 	}
-	return nil
+	return defaultExecutor()
 }

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -21,12 +20,11 @@ import (
 // are covered too: the plan depends only on (graph scale, K), never on the
 // worker count, so the invariance must survive its budget overrides.
 //
-// GOMAXPROCS is raised to 4 for the duration so the worker counts are not
-// clamped to 1 on single-core runners and the schedules genuinely differ.
+// GOMAXPROCS is raised to 4 for the duration, and the solves run on their
+// own 4-worker executor, so the worker counts are not clamped on small
+// runners and the schedules genuinely differ.
 func TestWorkerCountInvariance(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	ctx := context.Background()
+	ctx := executorContext(t, 4)
 
 	const seeds = 20
 	graphs := make([]*graph.Graph, seeds)

@@ -9,11 +9,11 @@ import (
 	"waso/internal/graph"
 )
 
-// WorkspacePool recycles per-worker solver workspaces — the O(n) scratch
-// state (bitsets, frontier slots, Fenwick tree) every worker needs — across
-// Solve calls against one graph. A long-lived caller that solves many
+// WorkspacePool recycles per-task solver workspaces — the O(n) scratch
+// state (bitsets, frontier slots, Fenwick tree) every running task needs —
+// across Solve calls against one graph. A long-lived caller that solves many
 // requests against the same resident graph (the wasod serving path) keeps
-// one pool per graph and attaches it with WithWorkspacePool; workers then
+// one pool per graph and attaches it with WithWorkspacePool; tasks then
 // draw warm buffers instead of allocating O(n) per request. Safe for
 // concurrent use; a pooled workspace is re-parameterized per request
 // (k, alpha, sampler backend), so requests with different tuning share the

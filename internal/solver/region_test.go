@@ -2,7 +2,6 @@ package solver
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"waso/internal/core"
@@ -35,9 +34,7 @@ func erInstance(t testing.TB, n int, avgDeg float64, seed uint64) *graph.Graph {
 // objective's fused slabs into the compact instance, so a per-objective
 // run is the only thing that catches a slab/remap mismatch.
 func TestRegionEquivalence(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	ctx := context.Background()
+	ctx := executorContext(t, 4)
 
 	const seeds = 20
 	for _, objName := range objective.Names() {

@@ -28,8 +28,8 @@
 //
 // Every solver runs the same deterministic multi-start driver. The top
 // Request.Starts nodes by bound score each get an independent search, and the
-// sample budget is decomposed into (start, sample-chunk) tasks fed to a
-// worker pool, so cores stay busy even when starts < workers or one start
+// sample budget is decomposed into (start, sample-chunk) tasks scheduled on
+// an Executor, so cores stay busy even when starts < workers or one start
 // dominates the work. Every random draw derives from rng.Split sub-streams
 // labelled (start index, sample index) — fixed at task-construction time —
 // and per-task outcomes are reduced in task order, so Report.Best depends
@@ -51,12 +51,12 @@
 // without leaking goroutines. Long-lived callers that solve many requests
 // against the same (graph, objective) can precompute the ranking once with
 // NewPrep and attach it via WithPrep — Solve picks it up from the context
-// and skips the per-call ranking pass — and can recycle per-worker scratch
+// and skips the per-call ranking pass — and can recycle per-task scratch
 // buffers across calls with a WorkspacePool attached via
-// WithWorkspacePool. A process serving many concurrent solves additionally
-// attaches one shared Executor (WithExecutor): every Solve then schedules
-// its tasks on that bounded pool instead of spawning a private one, so
-// total solver goroutines never exceed the pool size regardless of how
+// WithWorkspacePool. Every Solve runs its tasks on an Executor: the one
+// attached with WithExecutor, or a package default sized to GOMAXPROCS and
+// started on first use. Solve itself spawns no goroutines, so total solver
+// goroutines never exceed the executors' worker counts regardless of how
 // many requests are in flight.
 //
 // CBAS and CBASND schedule the deterministic greedy completion of every
@@ -544,20 +544,19 @@ type outcome struct {
 type chunkRunner func(ctx context.Context, ws *workspace, t task, start graph.NodeID, root *rng.Stream, req core.Request) outcome
 
 // multiStart is the shared parallel driver: it decomposes the per-start
-// sample budget into (start, sample-chunk) tasks, fans them over a worker
-// pool (one reusable workspace per worker, drawn from a context-attached
-// WorkspacePool when available), and reduces per-task outcomes in task
-// order. budget is the per-start sample count (0 for deterministic
-// solvers); warm runs the greedy completion at the head of each start's
-// first chunk.
+// sample budget into (start, sample-chunk) tasks, runs them on the
+// context's Executor (or the package default), and reduces per-task
+// outcomes in task order. budget is the per-start sample count (0 for
+// deterministic solvers); warm runs the greedy completion at the head of
+// each start's first chunk.
 //
 // Report.Best is schedule-independent: every sample's growth is a pure
 // function of its sub-stream, and the shared incumbent only ever prunes
 // growths that provably cannot beat a completed candidate. Report.Pruned is
 // advisory — it depends on how fast the incumbent rises under a given
-// schedule. When ctx is cancelled or its deadline passes, workers stop
-// between tasks and between samples, every goroutine exits, and the call
-// returns ctx.Err().
+// schedule. When ctx is cancelled or its deadline passes, tasks stop
+// between samples, the remaining ones drain as no-ops, and the call returns
+// ctx.Err(). A closed executor runs nothing and yields ErrExecutorClosed.
 func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Request, budget int, warm bool, run chunkRunner) (core.Report, error) {
 	began := time.Now() //lint:allow determinism(advisory Report.Elapsed timing; never read by the search)
 	if g == nil || g.N() == 0 {
@@ -646,8 +645,8 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	inc := newIncumbent()
 
 	// Workers is scheduling-only (results are schedule-independent), so a
-	// wire-supplied value is clamped to GOMAXPROCS: more goroutines than
-	// cores buys nothing and each worker carries an O(n) workspace.
+	// wire-supplied value is clamped to GOMAXPROCS: more parallel tasks than
+	// cores buys nothing and each one carries a workspace.
 	workers := req.Workers
 	if maxProcs := runtime.GOMAXPROCS(0); workers <= 0 || workers > maxProcs {
 		workers = maxProcs
@@ -657,11 +656,54 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 	}
 	pool := workspacePoolFor(ctx, g)
 
-	// execTask binds the task's substrate — this start's compact region when
-	// one exists, the whole graph otherwise (growth is bit-identical either
-	// way, see graph.Region; only the memory footprint changes) — and runs
-	// it, recording the outcome in task order.
-	execTask := func(ws *workspace, idx int) {
+	// Every solve schedules its tasks on an Executor — the context's
+	// (WithExecutor, the serving path) or the package default — with this
+	// solve's clamped Workers as its parallelism cap. Tasks from many solves
+	// interleave on one executor worker, so workspaces are per task, not per
+	// worker: drawn from the shared per-graph pool when one is attached,
+	// else from a solve-local free list that allocates at most workers
+	// workspaces of wsCap nodes each (region-sized when every start has a
+	// region, which keeps one-shot solves on huge graphs small).
+	var freeMu sync.Mutex
+	var free []*workspace
+	acquire := func() *workspace {
+		if pool != nil {
+			ws := pool.get(req, topSum, useFen)
+			ws.inc = inc
+			return ws
+		}
+		freeMu.Lock()
+		defer freeMu.Unlock()
+		if n := len(free); n > 0 {
+			ws := free[n-1]
+			free = free[:n-1]
+			return ws
+		}
+		ws := newWorkspace(wsCap)
+		ws.configure(req, topSum, useFen)
+		ws.inc = inc
+		return ws
+	}
+	release := func(ws *workspace) {
+		if pool != nil {
+			pool.put(ws)
+			return
+		}
+		freeMu.Lock()
+		free = append(free, ws)
+		freeMu.Unlock()
+	}
+	deadline, _ := ctx.Deadline()
+	ok, expired := executorFor(ctx).run(LaneFor(ctx), deadline, workers, len(tasks), func(idx int) {
+		if ctx.Err() != nil {
+			return // cancelled solve: drain remaining tasks as no-ops
+		}
+		ws := acquire()
+		defer release(ws)
+		// Bind the task's substrate — this start's compact region when one
+		// exists, the whole graph otherwise (growth is bit-identical either
+		// way, see graph.Region; only the memory footprint changes) — and
+		// record the outcome in task order.
 		t := tasks[idx]
 		start := starts[t.startIdx]
 		if regions != nil && regions[t.startIdx] != nil {
@@ -672,97 +714,15 @@ func multiStart(ctx context.Context, name string, g *graph.Graph, req core.Reque
 			ws.bindGraph(global)
 		}
 		outcomes[idx] = run(ctx, ws, t, start, root, req)
+	})
+	if !ok {
+		return core.Report{}, fmt.Errorf("solver: %s: %w", name, ErrExecutorClosed)
 	}
-
-	// A context-attached Executor (the serving path) schedules the tasks on
-	// the process-wide shared pool — total solver goroutines stay bounded no
-	// matter how many solves are in flight — with this solve's clamped
-	// Workers as its parallelism cap. Otherwise (or when the executor has
-	// been closed) the solve spawns its own private pool, the library
-	// default. Both paths reduce outcomes in task order, so Report.Best is
-	// identical between them.
-	ranShared := false
-	if ex := executorFor(ctx); ex != nil {
-		// Tasks from many solves interleave on one executor worker, so
-		// workspaces are per task, not per worker: drawn from the shared
-		// per-graph pool when one is attached, else from a solve-local
-		// free list that allocates at most maxParallel workspaces.
-		var freeMu sync.Mutex
-		var free []*workspace
-		acquire := func() *workspace {
-			if pool != nil {
-				ws := pool.get(req, topSum, useFen)
-				ws.inc = inc
-				return ws
-			}
-			freeMu.Lock()
-			if n := len(free); n > 0 {
-				ws := free[n-1]
-				free = free[:n-1]
-				freeMu.Unlock()
-				return ws
-			}
-			freeMu.Unlock()
-			ws := newWorkspace(wsCap)
-			ws.configure(req, topSum, useFen)
-			ws.inc = inc
-			return ws
-		}
-		release := func(ws *workspace) {
-			if pool != nil {
-				pool.put(ws)
-				return
-			}
-			freeMu.Lock()
-			free = append(free, ws)
-			freeMu.Unlock()
-		}
-		deadline, _ := ctx.Deadline()
-		var expired bool
-		ranShared, expired = ex.run(LaneFor(ctx), deadline, workers, len(tasks), func(idx int) {
-			if ctx.Err() != nil {
-				return // cancelled solve: drain remaining tasks as no-ops
-			}
-			ws := acquire()
-			execTask(ws, idx)
-			release(ws)
-		})
-		if expired && ctx.Err() == nil {
-			// The executor dropped tasks because the deadline passed at
-			// dequeue; the context's own timer may not have fired yet, so
-			// report the timeout deterministically rather than racing it.
-			return core.Report{}, context.DeadlineExceeded
-		}
-	}
-	if !ranShared {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var ws *workspace
-				if pool != nil {
-					ws = pool.get(req, topSum, useFen)
-					defer pool.put(ws)
-				} else {
-					ws = newWorkspace(wsCap)
-					ws.configure(req, topSum, useFen)
-				}
-				ws.inc = inc
-				for idx := range idxCh {
-					if ctx.Err() != nil {
-						continue // drain without working so the feeder never blocks
-					}
-					execTask(ws, idx)
-				}
-			}()
-		}
-		for idx := range tasks {
-			idxCh <- idx
-		}
-		close(idxCh)
-		wg.Wait()
+	if expired && ctx.Err() == nil {
+		// The executor dropped tasks because the deadline passed at
+		// dequeue; the context's own timer may not have fired yet, so
+		// report the timeout deterministically rather than racing it.
+		return core.Report{}, context.DeadlineExceeded
 	}
 	if err := ctx.Err(); err != nil {
 		return core.Report{}, err

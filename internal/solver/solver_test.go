@@ -24,6 +24,21 @@ func powerlawInstance(t testing.TB, n int, seed uint64) *graph.Graph {
 	return g
 }
 
+// executorContext raises GOMAXPROCS to n and returns a background context
+// carrying its own n-worker Executor, both undone at cleanup. A worker
+// sweep up to n then runs genuinely parallel schedules instead of being
+// capped by a default executor that something earlier in the process
+// started at a smaller size.
+func executorContext(tb testing.TB, n int) context.Context {
+	prev := runtime.GOMAXPROCS(n)
+	ex := NewExecutor(n)
+	tb.Cleanup(func() {
+		ex.Close()
+		runtime.GOMAXPROCS(prev)
+	})
+	return WithExecutor(context.Background(), ex)
+}
+
 // req builds a default request for k with the given overrides applied.
 func req(k int, mut func(*core.Request)) core.Request {
 	r := core.DefaultRequest(k)
@@ -338,6 +353,7 @@ func TestErrorsAndRegistry(t *testing.T) {
 // ctx.Err() promptly and leaks no goroutines.
 func TestCancelledContext(t *testing.T) {
 	g := powerlawInstance(t, 500, 13)
+	defaultExecutor() // its workers are permanent; start them before counting
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -50,7 +50,7 @@ func regionSubstrate(r *graph.Region) substrate {
 	return substrate{off: off, nbr: nbr, w: w, eta: eta}
 }
 
-// workspace holds the per-worker scratch state for growing connected
+// workspace holds the per-task scratch state for growing connected
 // groups. The id-space-sized structures are allocated once for a fixed
 // capacity (newWorkspace) and recycled across requests through a
 // WorkspacePool; the request-sized parameters (k, alpha, sampler backend,
